@@ -8,6 +8,12 @@ step.  :func:`select_active_batch` hashes the whole micro-batch in one
 family, one gather/reduce sweep for (D)WTA/DOPH), packs bucket fingerprints
 vectorised, and only then walks the per-sample bucket lookups.
 
+Per sample, Vanilla selection walks the buckets in its random table order
+and sorts the probed candidates (one ``np.unique``) only once they could
+cover the distance to ``target_active``; a row whose tables hold fewer
+candidates than the target is sorted exactly once, so selection costs
+about one sort per sample rather than one per table.
+
 RNG compatibility: the sampling strategies draw from the layer's generator in
 the same order whether they are fed a fresh query
 (``SamplingStrategy.sample``) or a pre-computed

@@ -362,22 +362,12 @@ class LSHIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self, vector: VectorLike, max_tables: int | None = None) -> QueryResult:
-        """Probe the tables with ``vector``.
-
-        Parameters
-        ----------
-        max_tables:
-            When given, only the first ``max_tables`` tables (in a random
-            order) are probed — the Vanilla-sampling fast path.
-        """
+    def query(self, vector: VectorLike) -> QueryResult:
+        """Probe every table with ``vector``."""
         codes = self.hash_family.hash_vector(vector)
         result = QueryResult(codes=codes)
-        order = np.arange(self.l)
-        if max_tables is not None and max_tables < self.l:
-            order = self._rng.permutation(self.l)[:max_tables]
-        for table_idx in order:
-            result.buckets.append(self._tables[table_idx].query(codes[table_idx]))
+        for table_idx, table in enumerate(self._tables):
+            result.buckets.append(table.query(codes[table_idx]))
         self.num_queries += 1
         return result
 
@@ -427,16 +417,6 @@ class LSHIndex:
             sizes[:, table_idx] = sizes_t
         self.num_queries += batch
         return BatchQueryResult(codes=codes, candidates=candidates, sizes=sizes)
-
-    def query_batch(self, queries: FloatArray) -> list[QueryResult]:
-        """Probe the tables with every row of a dense query block.
-
-        A compatibility wrapper over :meth:`query_batch_flat` returning one
-        :class:`QueryResult` per row, identical to ``[self.query(q) for q in
-        queries]`` table-for-table.
-        """
-        flat = self.query_batch_flat(queries)
-        return [flat.result(row) for row in range(flat.batch_size)]
 
     # ------------------------------------------------------------------
     # Diagnostics

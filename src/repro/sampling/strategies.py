@@ -61,9 +61,11 @@ class SamplingStrategy(abc.ABC):
 class VanillaSampling(SamplingStrategy):
     """Random-table probing until ``beta`` neurons are collected.
 
-    The time complexity is ``O(beta)`` because each additional table probe is
-    a single bucket lookup and the loop stops as soon as enough candidates
-    have been gathered.
+    The time complexity is ``O(beta)``: each additional table probe is a
+    single bucket lookup, the loop stops at the first table (in probe order)
+    whose bucket brings the distinct count to ``beta``, and the distinct count
+    is only recomputed — one sort of the probed candidates — once enough
+    candidates have been probed that it could have reached ``beta``.
     """
 
     name = "vanilla"
@@ -76,20 +78,28 @@ class VanillaSampling(SamplingStrategy):
         consumption — one table permutation plus one over-target subset draw
         — lives here so the two entry points stay draw-for-draw identical,
         which the batched-selection parity guarantees depend on.
+
+        A table adds at most ``bucket.size`` new ids, so the distinct count
+        cannot reach the target before the candidates probed since the last
+        count cover the remaining deficit.  Only then is it recounted with one
+        ``np.unique``; every table before that point is known to be short of
+        the target, so the loop stops at exactly the table where a per-probe
+        count would have stopped, having probed the same tables.
         """
         order = self._rng.permutation(num_tables)
-        collected: list[np.ndarray] = []
-        count = 0
+        buckets: list[np.ndarray] = []
+        unique = np.zeros(0, dtype=np.int64)
+        pending = 0  # candidates probed since ``unique`` was last counted
         for table_idx in order:
             bucket = get_bucket(int(table_idx))
-            if bucket.size:
-                collected.append(bucket)
-                count = np.unique(np.concatenate(collected)).size
-            if target_active is not None and count >= target_active:
-                break
-        if not collected:
-            return np.zeros(0, dtype=np.int64)
-        unique = np.unique(np.concatenate(collected))
+            buckets.append(bucket)
+            pending += bucket.size
+            if target_active is not None and pending >= target_active - unique.size:
+                unique, pending = np.unique(np.concatenate(buckets)), 0
+                if unique.size >= target_active:
+                    break
+        if pending:
+            unique = np.unique(np.concatenate(buckets))
         if target_active is not None and unique.size > target_active:
             # Keep a uniformly random subset so the expected size matches beta.
             keep = self._rng.choice(unique.size, size=target_active, replace=False)

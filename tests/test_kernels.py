@@ -116,15 +116,16 @@ class TestBatchedHashing:
             many, [table.fingerprint(row) for row in codes]
         )
 
-    def test_query_batch_matches_per_query(self, rng):
+    def test_query_batch_flat_rows_match_per_query(self, rng):
         index = LSHIndex(input_dim=32, config=LSHConfig(k=3, l=8), seed=2)
         index.build(rng.normal(size=(60, 32)))
         queries = rng.normal(size=(10, 32))
-        batched = index.query_batch(queries)
+        flat = index.query_batch_flat(queries)
         for row in range(queries.shape[0]):
+            batched = flat.result(row)
             single = index.query(queries[row])
-            assert len(batched[row].buckets) == len(single.buckets)
-            for got, expected in zip(batched[row].buckets, single.buckets):
+            assert len(batched.buckets) == len(single.buckets)
+            for got, expected in zip(batched.buckets, single.buckets):
                 np.testing.assert_array_equal(got, expected)
 
 

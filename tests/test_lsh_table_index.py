@@ -127,12 +127,6 @@ class TestLSHIndex:
         with pytest.raises(ValueError):
             index.query_with_codes(np.zeros((2, 2), dtype=np.int64))
 
-    def test_max_tables_limits_probes(self, index, rng):
-        weights = rng.normal(size=(40, 32))
-        index.build(weights)
-        result = index.query(rng.normal(size=32), max_tables=3)
-        assert len(result.buckets) == 3
-
     def test_update_rehashes_items(self, index, rng):
         weights = rng.normal(size=(20, 32))
         index.build(weights)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import LSHConfig, SamplingConfig
 from repro.lsh.index import LSHIndex, QueryResult
+from repro.lsh.table import HashTable
 from repro.sampling.probability import hard_threshold_curve
 from repro.sampling.strategies import (
     HardThresholdSampling,
@@ -56,6 +57,150 @@ class TestVanillaSampling:
         strategy = VanillaSampling(rng=np.random.default_rng(4))
         result = QueryResult(buckets=[np.zeros(0, dtype=np.int64)] * 3)
         assert strategy.select_from_result(result, 5).size == 0
+
+
+def _reference_collect(rng, num_tables, get_bucket, target_active):
+    """Vanilla selection with one ``np.unique`` per table probe.
+
+    ``VanillaSampling`` must match this loop in ids, dtype and RNG draws,
+    and must not probe more tables than it does.
+    """
+    order = rng.permutation(num_tables)
+    collected = []
+    count = 0
+    for table_idx in order:
+        bucket = get_bucket(int(table_idx))
+        if bucket.size:
+            collected.append(bucket)
+            count = np.unique(np.concatenate(collected)).size
+        if target_active is not None and count >= target_active:
+            break
+    if not collected:
+        return np.zeros(0, dtype=np.int64)
+    unique = np.unique(np.concatenate(collected))
+    if target_active is not None and unique.size > target_active:
+        keep = rng.choice(unique.size, size=target_active, replace=False)
+        unique = np.sort(unique[keep])
+    return unique.astype(np.int64)
+
+
+def _assert_same_selection(got, expected, got_rng, expected_rng):
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def _random_buckets(gen):
+    """Per-table buckets over a small id universe: empty buckets and ids
+    repeated across tables are common."""
+    universe = int(gen.integers(1, 50))
+    buckets = []
+    for _ in range(int(gen.integers(0, 12))):
+        size = 0 if gen.random() < 0.25 else int(gen.integers(0, min(universe, 10) + 1))
+        buckets.append(np.sort(gen.choice(universe, size=size, replace=False)).astype(np.int64))
+    return buckets
+
+
+class TestVanillaMatchesPerProbeReference:
+    TARGETS = (None, 0, 1, 3, 7, 20, 10**6)
+
+    @pytest.mark.parametrize(
+        "buckets",
+        [
+            [],
+            [np.zeros(0, dtype=np.int64)] * 4,
+            [np.array([1, 2, 3]), np.array([2, 3]), np.array([3, 4, 5]), np.array([1, 5])],
+            [np.zeros(0, dtype=np.int64), np.array([7]), np.zeros(0, dtype=np.int64), np.array([7, 8])],
+            [np.arange(10), np.arange(5, 15), np.arange(10, 20)],
+        ],
+    )
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_select_from_result_edge_cases(self, buckets, target):
+        expected_rng = np.random.default_rng(11)
+        expected = _reference_collect(
+            expected_rng, len(buckets), lambda t: buckets[t], target
+        )
+        got_rng = np.random.default_rng(11)
+        got = VanillaSampling(rng=got_rng).select_from_result(
+            QueryResult(buckets=list(buckets)), target
+        )
+        _assert_same_selection(got, expected, got_rng, expected_rng)
+
+    def test_select_from_result_random_cases(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(2000):
+            buckets = _random_buckets(gen)
+            target = self.TARGETS[int(gen.integers(len(self.TARGETS)))]
+            seed = int(gen.integers(2**32))
+            expected_rng = np.random.default_rng(seed)
+            expected = _reference_collect(
+                expected_rng, len(buckets), lambda t: buckets[t], target
+            )
+            got_rng = np.random.default_rng(seed)
+            got = VanillaSampling(rng=got_rng).select_from_result(
+                QueryResult(buckets=buckets), target
+            )
+            _assert_same_selection(got, expected, got_rng, expected_rng)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_sample_on_built_index(self, built_index, rng, target):
+        index, _ = built_index
+        got_rng = np.random.default_rng(5)
+        strategy = VanillaSampling(rng=got_rng)
+        expected_rng = np.random.default_rng(5)
+        for _ in range(20):
+            query = rng.normal(size=24)
+            codes = index.hash_family.hash_vector(query)
+            expected = _reference_collect(
+                expected_rng,
+                index.l,
+                lambda t: index.tables[t].query(codes[t]),
+                target,
+            )
+            got = strategy.sample(index, query, target)
+            _assert_same_selection(got, expected, got_rng, expected_rng)
+
+
+class TestVanillaProbeCount:
+    """Fig 4's O(beta) property: Vanilla stops probing once it has enough."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        counter = {"calls": 0}
+        query = HashTable.query
+
+        def counting_query(table, codes):
+            counter["calls"] += 1
+            return query(table, codes)
+
+        monkeypatch.setattr(HashTable, "query", counting_query)
+        return counter
+
+    @pytest.mark.parametrize("target", [None, 1, 10, 40, 150, 10**6])
+    def test_never_probes_more_tables_than_reference(self, built_index, rng, probes, target):
+        index, _ = built_index
+        for seed in range(20):
+            query = rng.normal(size=24)
+            codes = index.hash_family.hash_vector(query)
+            probes["calls"] = 0
+            _reference_collect(
+                np.random.default_rng(seed),
+                index.l,
+                lambda t: index.tables[t].query(codes[t]),
+                target,
+            )
+            reference_probes = probes["calls"]
+            probes["calls"] = 0
+            VanillaSampling(rng=np.random.default_rng(seed)).sample(index, query, target)
+            assert probes["calls"] <= reference_probes
+
+    def test_small_target_stops_early(self, built_index, rng, probes):
+        index, _ = built_index
+        strategy = VanillaSampling(rng=np.random.default_rng(8))
+        for _ in range(20):
+            probes["calls"] = 0
+            assert strategy.sample(index, rng.normal(size=24), target_active=1).size == 1
+            assert probes["calls"] < index.l
 
 
 class TestTopKSampling:
