@@ -61,6 +61,9 @@ from repro.serving import (
 # Per-request deadline for the sweep: the bound "graceful degradation" is
 # measured against — admitted requests must finish within it plus compute.
 DEADLINE_MS = 250.0
+# Traffic keeps running this long after the last hot swap is observed, so
+# the final weight generation carries live requests too.
+RELOAD_TAIL_S = 0.5
 
 
 def _train_network(scale: float, seed: int = 0):
@@ -96,10 +99,8 @@ def _train_network(scale: float, seed: int = 0):
             seed=seed,
         ),
     )
-    t0 = time.monotonic()
     trainer.train(dataset.train, dataset.test)
-    train_s = time.monotonic() - t0
-    return network, dataset, trainer, train_s
+    return network, dataset, trainer
 
 
 def build_report(
@@ -111,7 +112,7 @@ def build_report(
     num_swaps: int = 2,
     seed: int = 0,
 ) -> dict:
-    network, dataset, trainer, train_s = _train_network(scale=scale, seed=seed)
+    network, dataset, trainer = _train_network(scale=scale, seed=seed)
     budget = max(16, int(0.15 * network.output_dim))
     examples = list(dataset.test)
 
@@ -157,18 +158,24 @@ def build_report(
             # ------------------------------------------------------ phase 3
             time.sleep(0.3)
             reload_qps = max(0.6 * capacity, 1.0)
-            # Each publish retrains one epoch before swapping; size the
-            # traffic window off the measured epoch time so *every* swap
-            # lands while the generator is still sending (the post-swap
-            # generations must carry live traffic, not just exist).
-            reload_window_s = max(reload_s, num_swaps * (1.5 * train_s + 0.6) + 1.2)
+            # Each publish retrains one epoch before swapping, and a retrain
+            # under load takes longer than the unloaded one.  Traffic runs
+            # until the last swap has been observed plus a short tail, so
+            # *every* swap lands while the generator is still sending (the
+            # post-swap generations must carry live traffic, not just exist).
+            swaps_done = threading.Event()
             reload_reports: list[dict] = []
             loadgen_result: list = []
 
             def client() -> None:
                 loadgen_result.append(
                     run_open_loop(
-                        runtime, examples, qps=reload_qps, duration_s=reload_window_s, k=5
+                        runtime,
+                        examples,
+                        qps=reload_qps,
+                        duration_s=reload_s,
+                        k=5,
+                        until=swaps_done,
                     )
                 )
 
@@ -191,8 +198,11 @@ def build_report(
                         "generation": swap.generation,
                     }
                 )
+            time.sleep(RELOAD_TAIL_S)
+            swaps_done.set()
             thread.join(timeout=120.0)
             reload_traffic = loadgen_result[0].to_dict()
+            reload_window_s = reload_traffic["duration_s"]
 
             # ------------------------------------------------------ phase 4
             latest = store.latest()

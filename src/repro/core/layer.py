@@ -26,6 +26,7 @@ from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import derive_rng
+from repro.utils.sparse import block_index, gather_block
 
 __all__ = ["SlideLayer", "LayerForwardState"]
 
@@ -211,7 +212,8 @@ class SlideLayer:
         )
 
         if active_out.size and input_indices.size:
-            block = self.weights[np.ix_(active_out, input_indices)]
+            index = block_index(self.weights.shape, active_out, input_indices)
+            block = gather_block(self.weights, index)
             pre = block @ input_values + self.biases[active_out]
         else:
             pre = self.biases[active_out].copy() if active_out.size else np.zeros(0)
@@ -256,7 +258,8 @@ class SlideLayer:
         state.delta = upstream_delta
         if state.active_out.size == 0 or state.active_in.size == 0:
             return np.zeros(state.active_in.shape[0], dtype=np.float64)
-        block = self.weights[np.ix_(state.active_out, state.active_in)]
+        index = block_index(self.weights.shape, state.active_out, state.active_in)
+        block = gather_block(self.weights, index)
         return block.T @ upstream_delta
 
     def gradient_blocks(

@@ -1,8 +1,10 @@
 """Batched sparse kernels — the vectorised training/serving hot path.
 
 The per-sample training loop in :mod:`repro.core.network` pays Python and
-NumPy call overhead for every example: one LSH hash, one ``np.ix_`` gather,
-one GEMV, one ``np.outer`` and one optimiser step per sample per layer.  The
+NumPy call overhead for every example: one LSH hash, one weight-block
+gather (single-axis when the block spans every row or column, see
+:func:`repro.utils.sparse.block_index`), one GEMV, one ``np.outer`` and one
+optimiser step per sample per layer.  The
 kernels in this package restructure that work around the micro-batch:
 
 * :mod:`repro.kernels.active` — hash an entire batch of queries with one

@@ -35,6 +35,7 @@ from repro.core.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
 from repro.types import FloatArray, IntArray, SparseBatch
+from repro.utils.sparse import block_index, gather_block
 
 __all__ = [
     "Workspace",
@@ -221,11 +222,8 @@ def fused_forward_batch(
             rows = np.arange(layer.size, dtype=np.int64)
 
         gemm_start = time.perf_counter()
-        block = (
-            layer.weights[rows]
-            if cols is None
-            else layer.weights[np.ix_(rows, cols)]
-        )
+        weights = layer.weights
+        block = gather_block(weights, block_index(weights.shape, rows, cols))
         pre = x_block @ block.T + layer.biases[rows]
 
         mask: FloatArray | None = None

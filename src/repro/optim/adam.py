@@ -6,6 +6,16 @@ parameter, touching only that block's first/second-moment state — this is
 what lets SLIDE keep per-update cost proportional to the number of *active*
 weights.
 
+The block update runs in place: each of ``param``/``m``/``v`` is gathered
+once, updated with ``out=`` arithmetic against one scratch buffer, and
+scattered back once, in the floating-point order of the expression
+``lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is bitwise
+identical to evaluating that expression on gathered copies.  A block that
+spans every column (the output layer reading a whole hidden layer) or
+every row (a hidden layer without LSH, all of whose neurons are active) is
+indexed along one axis only (:func:`repro.utils.sparse.block_index`),
+avoiding the slower two-array ``np.ix_`` gather/scatter.
+
 Bias correction uses the global step count.  Strictly speaking lazily-updated
 Adam is a slight approximation of dense Adam (untouched coordinates do not
 decay their moments), matching the behaviour of the reference SLIDE code and
@@ -27,6 +37,7 @@ import numpy as np
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
 from repro.types import FloatArray, IntArray
+from repro.utils.sparse import block_index, gather_block
 
 __all__ = ["AdamOptimizer"]
 
@@ -105,19 +116,32 @@ class AdamOptimizer(Optimizer):
         if rows.size == 0:
             return
         state = self._state[name]
-        view = self._block_view(param, rows, cols)
-        # The gathered blocks are fresh copies (fancy indexing), so the
-        # moment updates can run in place on them before scattering back.
-        m_block = state["m"][view]
-        v_block = state["v"][view]
+        m, v = state["m"], state["v"]
+        index = block_index(param.shape, rows, cols)
+        # Gathers through ``index`` are fresh copies, so each block is
+        # updated in place and scattered back; ``scratch`` is the one
+        # temporary.  Each operation is the one the expression form in the
+        # module docstring performs, in its order, so results match it bitwise.
+        scratch = np.multiply(grad_block, 1.0 - self.beta1)
+        m_block = gather_block(m, index)
         m_block *= self.beta1
-        m_block += (1.0 - self.beta1) * grad_block
+        m_block += scratch
+        m[index] = m_block
+        np.square(grad_block, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v_block = gather_block(v, index)
         v_block *= self.beta2
-        v_block += (1.0 - self.beta2) * np.square(grad_block)
-        state["m"][view] = m_block
-        state["v"][view] = v_block
+        v_block += scratch
+        v[index] = v_block
         bc1, bc2 = self._bias_correction()
-        m_hat = m_block / bc1
-        v_hat = v_block / bc2
-        delta = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        param[view] = param[view] - self._clip_delta(delta)
+        # delta = lr * (m / bc1) / (sqrt(v / bc2) + eps), built in m_block.
+        np.divide(v_block, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.epsilon
+        m_block /= bc1
+        m_block *= self.learning_rate
+        m_block /= scratch
+        delta = self._clip_delta(m_block)
+        param_block = gather_block(param, index)
+        param_block -= delta
+        param[index] = param_block

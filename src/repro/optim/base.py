@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from repro.types import FloatArray, IntArray
 
 __all__ = ["Optimizer"]
@@ -134,9 +132,3 @@ class Optimizer(abc.ABC):
             )
         self._state[name][key] = array
 
-    @staticmethod
-    def _block_view(param: FloatArray, rows: IntArray, cols: IntArray | None):
-        """Index helper returning a fancy-index tuple for a sub-block."""
-        if cols is None:
-            return (rows,)
-        return np.ix_(rows, cols)

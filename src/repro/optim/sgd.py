@@ -7,6 +7,7 @@ import numpy as np
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
 from repro.types import FloatArray, IntArray
+from repro.utils.sparse import block_index, gather_block
 
 __all__ = ["SGDOptimizer"]
 
@@ -51,11 +52,16 @@ class SGDOptimizer(Optimizer):
     ) -> None:
         if rows.size == 0:
             return
-        view = self._block_view(param, rows, cols)
+        index = block_index(param.shape, rows, cols)
         if self.momentum == 0.0:
-            param[view] = param[view] - self.learning_rate * grad_block
-            return
-        velocity = self._state[name]["velocity"]
-        v_block = self.momentum * velocity[view] + grad_block
-        velocity[view] = v_block
-        param[view] = param[view] - self.learning_rate * v_block
+            step = np.multiply(grad_block, self.learning_rate)
+        else:
+            velocity = self._state[name]["velocity"]
+            step = gather_block(velocity, index)
+            step *= self.momentum
+            step += grad_block
+            velocity[index] = step
+            step *= self.learning_rate
+        param_block = gather_block(param, index)
+        param_block -= step
+        param[index] = param_block

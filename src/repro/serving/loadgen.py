@@ -22,6 +22,7 @@ lets the failover bench say *which* replica's death cost *which* requests.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -134,6 +135,7 @@ def run_open_loop(
     duration_s: float,
     k: int | None = None,
     settle_timeout_s: float = 30.0,
+    until: threading.Event | None = None,
 ) -> LoadReport:
     """Drive ``runtime`` at a sustained offered rate; return a :class:`LoadReport`.
 
@@ -142,6 +144,10 @@ def run_open_loop(
     histogram so the reported p99/p999 are exact for runs that fit the
     reservoir.  After the last arrival the generator waits up to
     ``settle_timeout_s`` for stragglers so the tail is not truncated.
+
+    With ``until``, arrivals keep their rate past ``duration_s`` until the
+    event is set, and the report's ``duration_s`` is the span actually
+    scheduled — for traffic that must outlast work of unknown length.
     """
     if qps <= 0:
         raise ValueError("qps must be positive")
@@ -193,7 +199,9 @@ def run_open_loop(
 
     total = max(int(duration_s * qps), 1)
     start = time.monotonic()
-    for i in range(total):
+    for i in itertools.count():
+        if i >= total and (until is None or until.is_set()):
+            break
         target = start + i / qps
         now = time.monotonic()
         if target > now:
@@ -233,6 +241,8 @@ def run_open_loop(
         )
         outstanding.append(future)
 
+    if until is not None:
+        report.duration_s = i / qps
     settle_deadline = time.monotonic() + settle_timeout_s
     for future in outstanding:
         remaining = settle_deadline - time.monotonic()

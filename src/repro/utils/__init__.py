@@ -2,8 +2,8 @@
 
 from repro.utils.rng import derive_rng, spawn_rngs
 from repro.utils.sparse import (
-    sparse_dense_matvec,
-    sparse_rows_dot,
+    block_index,
+    gather_block,
     normalize_rows,
     random_sparse_matrix,
 )
@@ -18,8 +18,8 @@ from repro.utils.validation import (
 __all__ = [
     "derive_rng",
     "spawn_rngs",
-    "sparse_dense_matvec",
-    "sparse_rows_dot",
+    "block_index",
+    "gather_block",
     "normalize_rows",
     "random_sparse_matrix",
     "top_k_indices",

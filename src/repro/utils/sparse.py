@@ -12,40 +12,50 @@ import numpy as np
 from repro.types import FloatArray, IntArray
 
 __all__ = [
-    "sparse_dense_matvec",
-    "sparse_rows_dot",
+    "block_index",
+    "gather_block",
     "normalize_rows",
     "random_sparse_matrix",
 ]
 
 
-def sparse_dense_matvec(
-    weights: FloatArray,
-    row_indices: IntArray,
-    col_indices: IntArray,
-    col_values: FloatArray,
-) -> FloatArray:
-    """Compute ``weights[row_indices][:, col_indices] @ col_values``.
+def block_index(
+    shape: tuple[int, ...], rows: IntArray, cols: IntArray | None
+) -> tuple:
+    """Fancy index selecting the ``rows x cols`` block of an array of ``shape``.
 
-    This is the core sparse forward-pass primitive: ``row_indices`` are the
-    active neurons of the current layer, ``col_indices``/``col_values`` the
-    sparse input from the previous layer.
+    ``cols=None`` selects whole rows (one-dimensional parameters such as
+    biases).  When one side of a 2-D block spans its whole axis (exactly
+    ``arange(n)``, not merely ``n`` ids) the index is single-axis:
+    ``(rows,)`` or ``(slice(None), cols)``, which NumPy gathers and
+    scatters faster than the two-array ``np.ix_`` form used for every
+    other block.  The index always holds an integer array, so a
+    gather through it is a copy that callers may update in place.
     """
-    if row_indices.size == 0 or col_indices.size == 0:
-        return np.zeros(row_indices.shape[0], dtype=np.float64)
-    submatrix = weights[np.ix_(row_indices, col_indices)]
-    return submatrix @ col_values
+    if cols is None or _is_full_axis(cols, shape[1]):
+        return (rows,)
+    if _is_full_axis(rows, shape[0]):
+        return (slice(None), cols)
+    return np.ix_(rows, cols)
 
 
-def sparse_rows_dot(
-    weights: FloatArray,
-    row_indices: IntArray,
-    dense_vector: FloatArray,
-) -> FloatArray:
-    """Dot each selected weight row with a dense vector."""
-    if row_indices.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    return weights[row_indices] @ dense_vector
+def gather_block(array: FloatArray, index: tuple) -> FloatArray:
+    """C-ordered copy of the block a :func:`block_index` index selects.
+
+    ``array[:, cols]`` comes back Fortran-ordered.  BLAS sums a product
+    over such a block in a different order (so results would no longer be
+    bitwise those of the ``np.ix_`` gather), and element-wise arithmetic
+    mixing it with C-ordered operands is several times slower; ``np.take``
+    gathers the columns into a C-ordered copy instead.  Scatter back with
+    plain assignment, ``array[index] = block``.
+    """
+    if isinstance(index[0], slice):
+        return np.take(array, index[1], axis=1)
+    return array[index]
+
+
+def _is_full_axis(ids: IntArray, n: int) -> bool:
+    return ids.size == n and np.array_equal(ids, np.arange(n))
 
 
 def normalize_rows(matrix: FloatArray, epsilon: float = 1e-12) -> FloatArray:

@@ -7,10 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import OptimizerConfig
+import repro.core.layer as layer_module
+import repro.kernels.fused as fused_module
+from repro.config import (
+    LayerConfig,
+    LSHConfig,
+    OptimizerConfig,
+    SamplingConfig,
+    SlideNetworkConfig,
+    TrainingConfig,
+)
+from repro.core.network import SlideNetwork
+from repro.kernels import Workspace
 from repro.optim.adam import AdamOptimizer
 from repro.optim.factory import make_optimizer
 from repro.optim.sgd import SGDOptimizer
+from repro.types import SparseBatch, SparseExample, SparseVector
 
 
 def reference_adam_step(param, grad, m, v, lr, b1, b2, eps, t):
@@ -213,3 +225,199 @@ def test_adam_sparse_dense_equivalence_property(lr, steps):
         dense_opt.step("w", dense_param, grad)
         sparse_opt.sparse_step("w", sparse_param, rows, cols, block)
     np.testing.assert_allclose(sparse_param, dense_param, atol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# Bitwise parity with the expression-form block updates
+# ----------------------------------------------------------------------
+def _reference_view(rows, cols):
+    return (rows,) if cols is None else np.ix_(rows, cols)
+
+
+def reference_adam_sparse_step(self, name, param, rows, cols, grad_block):
+    """``AdamOptimizer.sparse_step`` as an ``np.ix_`` expression, frozen."""
+    if rows.size == 0:
+        return
+    state = self._state[name]
+    view = _reference_view(rows, cols)
+    m_block = state["m"][view]
+    v_block = state["v"][view]
+    m_block *= self.beta1
+    m_block += (1.0 - self.beta1) * grad_block
+    v_block *= self.beta2
+    v_block += (1.0 - self.beta2) * np.square(grad_block)
+    state["m"][view] = m_block
+    state["v"][view] = v_block
+    bc1, bc2 = self._bias_correction()
+    m_hat = m_block / bc1
+    v_hat = v_block / bc2
+    delta = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+    param[view] = param[view] - self._clip_delta(delta)
+
+
+def reference_sgd_sparse_step(self, name, param, rows, cols, grad_block):
+    """``SGDOptimizer.sparse_step`` as an ``np.ix_`` expression, frozen."""
+    if rows.size == 0:
+        return
+    view = _reference_view(rows, cols)
+    if self.momentum == 0.0:
+        param[view] = param[view] - self.learning_rate * grad_block
+        return
+    velocity = self._state[name]["velocity"]
+    v_block = self.momentum * velocity[view] + grad_block
+    velocity[view] = v_block
+    param[view] = param[view] - self.learning_rate * v_block
+
+
+def reference_gather_block(array, index):
+    """The forward/backward weight gather as an ``np.ix_`` expression."""
+    if isinstance(index[0], slice):
+        index = np.ix_(np.arange(array.shape[0]), index[1])
+    elif len(index) == 1 and array.ndim == 2:
+        index = np.ix_(index[0], np.arange(array.shape[1]))
+    return array[index]
+
+
+# (shape, rows, cols): every index form block_index can choose.
+PARITY_BLOCKS = {
+    "full_rows": ((6, 40), np.arange(6), np.array([0, 3, 7, 19, 20, 38])),
+    "full_cols": ((50, 5), np.array([1, 4, 9, 33, 49]), np.arange(5)),
+    "both_full": ((4, 5), np.arange(4), np.arange(5)),
+    "general": ((10, 12), np.array([0, 2, 7]), np.array([1, 5, 6, 11])),
+    "bias": ((10,), np.array([2, 3, 8]), None),
+    "unsorted_duplicate_rows": ((8, 9), np.array([5, 1, 5, 0]), np.array([2, 4, 8])),
+    "duplicate_rows_full_cols": ((8, 3), np.array([6, 2, 6]), np.arange(3)),
+    "rows_permuted_full_size": ((5, 30), np.array([4, 3, 2, 1, 0]), np.array([7, 9])),
+    "cols_permuted_full_size": ((7, 4), np.array([1, 6]), np.array([3, 0, 1, 2])),
+}
+
+
+def _parity_optimizers():
+    return {
+        "adam": (AdamOptimizer(learning_rate=0.05), reference_adam_sparse_step),
+        "adam_clipped": (
+            AdamOptimizer(learning_rate=0.05, update_clip=0.4),
+            reference_adam_sparse_step,
+        ),
+        "sgd": (SGDOptimizer(learning_rate=0.1), reference_sgd_sparse_step),
+        "sgd_momentum": (
+            SGDOptimizer(learning_rate=0.1, momentum=0.7),
+            reference_sgd_sparse_step,
+        ),
+    }
+
+
+def _grad_block(rng, shape, from_workspace):
+    if not from_workspace:
+        return rng.normal(scale=3.0, size=shape)
+    workspace = Workspace()
+    workspace.take("grad", (shape[0] + 2, shape[1] + 3))
+    grad = workspace.take("grad", shape)
+    assert not grad.flags.c_contiguous
+    grad[...] = rng.normal(scale=3.0, size=shape)
+    return grad
+
+
+def _assert_states_equal(new, reference):
+    assert new.parameter_names() == reference.parameter_names()
+    for (_, key, array), (_, ref_key, ref_array) in zip(
+        new.state_items(), reference.state_items()
+    ):
+        assert key == ref_key
+        assert np.array_equal(array, ref_array), key
+
+
+class TestSparseStepBitwiseParity:
+    @pytest.mark.parametrize("kind", sorted(_parity_optimizers()))
+    @pytest.mark.parametrize(
+        "block, from_workspace",
+        [(block, False) for block in PARITY_BLOCKS]
+        # Workspace buffers are two-dimensional, so no bias case.
+        + [(block, True) for block, (_, _, cols) in PARITY_BLOCKS.items() if cols is not None],
+    )
+    def test_matches_frozen_expression_form(self, kind, block, from_workspace):
+        shape, rows, cols = PARITY_BLOCKS[block]
+        new, reference_step = _parity_optimizers()[kind]
+        reference, _ = _parity_optimizers()[kind]
+        rng = np.random.default_rng(5)
+        param = rng.normal(size=shape)
+        ref_param = param.copy()
+        new.register("w", shape)
+        reference.register("w", shape)
+        block_shape = (rows.size,) if cols is None else (rows.size, cols.size)
+        for _ in range(4):
+            grad = _grad_block(rng, block_shape, from_workspace)
+            new.begin_step()
+            reference.begin_step()
+            new.sparse_step("w", param, rows, cols, grad)
+            reference_step(reference, "w", ref_param, rows, cols, grad)
+        assert np.array_equal(param, ref_param)
+        _assert_states_equal(new, reference)
+
+    def test_update_clip_is_active_in_parity_case(self):
+        """The clipped parity case really clips (else it tests nothing)."""
+        opt = AdamOptimizer(learning_rate=0.05, update_clip=0.4)
+        param = np.zeros((3, 3))
+        opt.register("w", param.shape)
+        opt.begin_step()
+        opt.sparse_step("w", param, np.arange(3), np.arange(3), np.full((3, 3), 2.0))
+        np.testing.assert_array_equal(param, np.full((3, 3), -0.4 * 0.05))
+
+
+def _parity_network(seed: int) -> SlideNetwork:
+    # Hidden layer without LSH: layer 0 updates every row, layer 1 every
+    # column, so both single-axis index forms run.  Wide enough that BLAS
+    # products over a Fortran-ordered block would round differently.
+    layers = (
+        LayerConfig(size=48, activation="relu"),
+        LayerConfig(
+            size=300,
+            activation="softmax",
+            lsh=LSHConfig(hash_family="simhash", k=4, l=10, bucket_size=32),
+            sampling=SamplingConfig(strategy="vanilla", target_active=60, min_active=16),
+        ),
+    )
+    return SlideNetwork(SlideNetworkConfig(input_dim=2000, layers=layers, seed=seed))
+
+
+def _parity_batches(count: int, size: int = 16) -> list[SparseBatch]:
+    rng = np.random.default_rng(8)
+    batches = []
+    for _ in range(count):
+        examples = [
+            SparseExample(
+                features=SparseVector(
+                    indices=np.sort(rng.choice(2000, size=60, replace=False)),
+                    values=rng.normal(size=60),
+                    dimension=2000,
+                ),
+                labels=rng.choice(300, size=3, replace=False),
+            )
+            for _ in range(size)
+        ]
+        batches.append(SparseBatch.from_examples(examples, feature_dim=2000, label_dim=300))
+    return batches
+
+
+@pytest.mark.parametrize("hogwild", [False, True])
+def test_training_matches_frozen_expression_form(monkeypatch, hogwild):
+    """20 fused or HOGWILD steps end bitwise equal to the ``np.ix_`` form."""
+    batches = _parity_batches(20)
+
+    def train():
+        network = _parity_network(seed=4)
+        optimizer = network.build_optimizer(TrainingConfig())
+        for batch in batches:
+            network.train_batch(batch, optimizer, hogwild=hogwild)
+        return network, optimizer
+
+    network, optimizer = train()
+    with monkeypatch.context() as patch:
+        patch.setattr(AdamOptimizer, "sparse_step", reference_adam_sparse_step)
+        patch.setattr(layer_module, "gather_block", reference_gather_block)
+        patch.setattr(fused_module, "gather_block", reference_gather_block)
+        ref_network, ref_optimizer = train()
+    for layer, ref_layer in zip(network.layers, ref_network.layers):
+        assert np.array_equal(layer.weights, ref_layer.weights)
+        assert np.array_equal(layer.biases, ref_layer.biases)
+    _assert_states_equal(optimizer, ref_optimizer)

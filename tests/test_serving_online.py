@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.serving import (
     ElasticEnginePool,
     MicroBatchQueue,
     OnlineRuntime,
+    Prediction,
     RejectedError,
     ServingMetrics,
     ServingRuntime,
@@ -555,6 +557,55 @@ def test_cli_watch_requires_store_root(tmp_path, tiny_dataset, capsys):
     code = serve_main([str(ckpt), "--watch"])
     assert code == 2
     assert "CheckpointStore root" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Load generator: traffic that outlasts work of unknown length
+# ----------------------------------------------------------------------
+class _InstantRuntime:
+    """Answers every request at once from generation ``generation``."""
+
+    def __init__(self) -> None:
+        self.generation = 0
+
+    def submit(self, example, k=None):
+        future = Future()
+        future.set_result(
+            Prediction(
+                class_ids=np.zeros(1, dtype=np.int64),
+                scores=np.zeros(1),
+                mode="sparse",
+                candidates_scored=1,
+                generation=self.generation,
+            )
+        )
+        return future
+
+
+def test_open_loop_until_keeps_sending_until_the_event(tiny_dataset):
+    runtime = _InstantRuntime()
+    examples = [tiny_dataset.test[0]]
+    fixed = run_open_loop(runtime, examples, qps=200.0, duration_s=0.05)
+    assert fixed.sent == 10 and fixed.duration_s == 0.05
+
+    done = threading.Event()
+
+    def later() -> None:
+        time.sleep(0.2)
+        runtime.generation = 1
+        time.sleep(0.1)
+        done.set()
+
+    thread = threading.Thread(target=later, daemon=True)
+    thread.start()
+    report = run_open_loop(runtime, examples, qps=200.0, duration_s=0.05, until=done)
+    thread.join(timeout=10.0)
+    # Sent past duration_s until the event, at the same rate: both
+    # generations carry traffic and duration_s is the scheduled span.
+    assert set(report.generations) == {0, 1}
+    assert report.duration_s >= 0.3
+    assert report.sent == round(report.duration_s * 200.0)
+    assert report.completed == report.sent
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import derive_rng, spawn_rngs
 from repro.utils.sparse import (
+    block_index,
+    gather_block,
     normalize_rows,
     random_sparse_matrix,
-    sparse_dense_matvec,
-    sparse_rows_dot,
 )
 from repro.utils.topk import threshold_indices, top_k_indices
 from repro.utils.validation import (
@@ -53,40 +53,66 @@ class TestRng:
             spawn_rngs(7, 0)
 
 
+class TestBlockIndex:
+    SHAPE = (5, 7)
+
+    def test_full_columns_index_rows_only(self):
+        rows = np.array([0, 3])
+        index = block_index(self.SHAPE, rows, np.arange(7))
+        assert len(index) == 1 and index[0] is rows
+
+    def test_full_rows_index_columns_only(self):
+        cols = np.array([1, 6])
+        index = block_index(self.SHAPE, np.arange(5), cols)
+        assert index[0] == slice(None) and index[1] is cols
+
+    def test_cols_none_indexes_rows(self):
+        rows = np.array([2, 4])
+        assert block_index((9,), rows, None)[0] is rows
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (np.array([0, 3]), np.array([1, 6])),
+            # Full size but not ``arange``: a single-axis index would
+            # misalign the block, so these must stay two-array.
+            (np.array([4, 3, 2, 1, 0]), np.array([1, 6])),
+            (np.array([0, 3]), np.array([0, 1, 2, 3, 4, 6, 5])),
+            (np.array([0, 0, 1, 2, 3]), np.array([2])),
+        ],
+    )
+    def test_other_blocks_use_ix(self, rows, cols):
+        index = block_index(self.SHAPE, rows, cols)
+        expected = np.ix_(rows, cols)
+        assert len(index) == 2
+        for got, want in zip(index, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (np.array([0, 3]), np.arange(7)),
+            (np.arange(5), np.array([1, 6])),
+            (np.arange(5), np.arange(7)),
+            (np.array([4, 1]), np.array([5, 0, 2])),
+            (np.array([1, 2]), None),
+        ],
+    )
+    def test_gathered_block_is_an_owning_copy(self, rng, rows, cols):
+        array = rng.normal(size=self.SHAPE)
+        index = block_index(array.shape, rows, cols)
+        block = array[index]
+        assert not np.shares_memory(block, array)
+        expected = array[rows] if cols is None else array[np.ix_(rows, cols)]
+        np.testing.assert_array_equal(block, expected)
+
+        gathered = gather_block(array, index)
+        assert not np.shares_memory(gathered, array)
+        assert gathered.flags.c_contiguous
+        np.testing.assert_array_equal(gathered, expected)
+
+
 class TestSparseHelpers:
-    def test_sparse_dense_matvec_matches_dense(self, rng):
-        weights = rng.normal(size=(10, 12))
-        rows = np.array([1, 4, 7])
-        cols = np.array([0, 3, 5, 9])
-        values = rng.normal(size=4)
-        result = sparse_dense_matvec(weights, rows, cols, values)
-        dense_input = np.zeros(12)
-        dense_input[cols] = values
-        expected = weights[rows] @ dense_input
-        np.testing.assert_allclose(result, expected)
-
-    def test_sparse_dense_matvec_empty_rows(self, rng):
-        weights = rng.normal(size=(5, 5))
-        result = sparse_dense_matvec(
-            weights, np.array([], dtype=np.int64), np.array([0]), np.array([1.0])
-        )
-        assert result.shape == (0,)
-
-    def test_sparse_dense_matvec_empty_cols(self, rng):
-        weights = rng.normal(size=(5, 5))
-        result = sparse_dense_matvec(
-            weights, np.array([0, 1]), np.array([], dtype=np.int64), np.array([])
-        )
-        np.testing.assert_array_equal(result, np.zeros(2))
-
-    def test_sparse_rows_dot(self, rng):
-        weights = rng.normal(size=(6, 4))
-        vector = rng.normal(size=4)
-        rows = np.array([0, 5])
-        np.testing.assert_allclose(
-            sparse_rows_dot(weights, rows, vector), weights[rows] @ vector
-        )
-
     def test_normalize_rows_unit_norm(self, rng):
         matrix = rng.normal(size=(5, 7))
         normalized = normalize_rows(matrix)
